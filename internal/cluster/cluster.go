@@ -19,7 +19,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +29,7 @@ import (
 	"time"
 
 	"smtfetch/internal/experiment"
+	"smtfetch/internal/flight"
 	"smtfetch/internal/server"
 )
 
@@ -95,16 +95,13 @@ type Coordinator struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 
-	// flight is the cluster-wide single-flight map: per content key, at
-	// most one dispatch anywhere in the fleet at a time. It layers over
-	// each worker's own per-key single-flight — the worker layer dedupes
+	// flight is the cluster-wide single-flight: per content key, at most
+	// one dispatch anywhere in the fleet at a time. It layers over each
+	// worker's own per-key single-flight — the worker layer dedupes
 	// concurrent misses that reach one worker, this layer stops them
 	// from reaching workers (or, after a re-dispatch, *different*
 	// workers) at all.
-	flight struct {
-		mu sync.Mutex
-		m  map[string]*flightEntry
-	}
+	flight flight.Group[experiment.Result]
 
 	// dispatch executes one cell somewhere in the fleet. It is a field
 	// (defaulting to dispatchCell) so single-flight tests can substitute
@@ -185,7 +182,11 @@ func New(cfg Config) (*Coordinator, error) {
 			client: &server.Client{BaseURL: u, HTTPClient: httpc, PollInterval: poll},
 		})
 	}
-	co.flight.m = map[string]*flightEntry{}
+	co.flight.OnWait = func(key string) {
+		if h := testHookFlightWait; h != nil {
+			h(key)
+		}
+	}
 	co.dispatch = co.dispatchCell
 	co.mux = http.NewServeMux()
 	co.mux.HandleFunc("/sweep", co.handleSweep)
@@ -205,38 +206,9 @@ func (co *Coordinator) WaitJobs() {
 	co.jobsWG.Wait()
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-func writeJSONBody(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST /sweep only")
-		return
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req server.SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
-	}
-	sw, err := req.Sweep()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
-	}
-	cells, err := sw.Prepare()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid sweep: %v", err)
+	req, sw, cells, ok := server.DecodeSweep(w, r)
+	if !ok {
 		return
 	}
 	fp := server.Fingerprint(sw)
@@ -263,7 +235,7 @@ func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		co.jobs.Complete(j)
 	}()
-	writeJSONBody(w, http.StatusAccepted, j.Status())
+	server.WriteJSON(w, http.StatusAccepted, j.Status())
 }
 
 // runSweepStream executes cells across the fleet and writes the merged
@@ -320,12 +292,12 @@ func (co *Coordinator) ClusterStats() Status {
 
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		server.HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSONBody(w, http.StatusOK, co.ClusterStats())
+	server.WriteJSON(w, http.StatusOK, co.ClusterStats())
 }
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSONBody(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

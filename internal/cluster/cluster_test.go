@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -287,6 +288,52 @@ func TestClusterEndpoints(t *testing.T) {
 	for _, ws := range st.Workers {
 		if !ws.Alive {
 			t.Fatalf("fresh worker not alive: %+v", ws)
+		}
+	}
+}
+
+// TestCoordinatorRejectsBadSweeps: the coordinator's POST /sweep front
+// door answers like a worker's — 405 for other methods, 400 with the
+// worker's messages for a malformed body, an unknown name or an invalid
+// grid — and dispatches nothing.
+func TestCoordinatorRejectsBadSweeps(t *testing.T) {
+	co, err := cluster.New(cluster.Config{Workers: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Stop)
+	ts := httptest.NewServer(co)
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + "/sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /sweep = %s, want 405", resp.Status)
+	}
+
+	for _, tc := range []struct{ name, body, msg string }{
+		{"malformed json", `{"workloads": [`, "bad sweep request"},
+		{"empty body", ``, "bad sweep request"},
+		{"unknown engine", `{"engines": ["quantum"]}`, "bad sweep request"},
+		{"unknown workload", `{"workloads": ["9_NOPE"]}`, "invalid sweep"},
+	} {
+		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body strings.Builder
+		io.Copy(&body, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(body.String(), tc.msg) {
+			t.Errorf("%s: %s %q, want 400 %q", tc.name, resp.Status, body.String(), tc.msg)
+		}
+	}
+	for _, ws := range co.ClusterStats().Workers {
+		if ws.Dispatched != 0 {
+			t.Fatalf("a rejected sweep was dispatched: %+v", ws)
 		}
 	}
 }

@@ -8,50 +8,21 @@ import (
 	"smtfetch/internal/server"
 )
 
-// flightEntry is one in-flight content key. Waiters block on done; ok
-// reports whether the leader's result is shareable (error results are
-// not — each waiter retries itself, exactly like the worker-level
-// single-flight, so a transient worker failure doesn't fan out).
-type flightEntry struct {
-	done chan struct{}
-	res  experiment.Result
-	ok   bool
-}
-
 // fetchCell resolves one cell cluster-wide, single-flighting on the full
 // content key (fingerprint + cell key): while a dispatch for the key is
 // in flight anywhere — from this request or a concurrently posted
-// overlapping grid — no second dispatch starts. Combined with each
-// worker's cache and its own single-flight, a shared cell simulates
-// exactly once across the fleet no matter how many grids want it.
+// overlapping grid — no second dispatch starts. Error results are not
+// shared; a waiter retries as the new leader (see package flight).
+// Combined with each worker's cache and its own single-flight, a shared
+// cell simulates exactly once across the fleet no matter how many grids
+// want it.
 func (co *Coordinator) fetchCell(sw *experiment.Sweep, fp string, c experiment.Cell) experiment.Result {
-	key := server.CacheKey(fp, c)
-	for {
-		co.flight.mu.Lock()
-		e, running := co.flight.m[key]
-		if !running {
-			e = &flightEntry{done: make(chan struct{})}
-			co.flight.m[key] = e
-		}
-		co.flight.mu.Unlock()
-		if running {
-			if h := testHookFlightWait; h != nil {
-				h(key)
-			}
-			<-e.done
-			if e.ok {
-				return e.res
-			}
-			continue
-		}
+	// The error is res.Error again, so the result alone carries it.
+	res, _ := co.flight.Do(server.CacheKey(fp, c), func() (experiment.Result, error) {
 		res := co.dispatch(sw, c)
-		e.res, e.ok = res, res.Error == ""
-		co.flight.mu.Lock()
-		delete(co.flight.m, key)
-		co.flight.mu.Unlock()
-		close(e.done)
-		return res
-	}
+		return res, res.Err()
+	})
+	return res
 }
 
 // testHookFlightWait, when non-nil, fires the moment a fetchCell caller

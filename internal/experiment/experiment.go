@@ -101,8 +101,10 @@ type Sweep struct {
 	// SnapshotSource, when non-nil, mediates warm-checkpoint reuse across
 	// sweeps (the server's snapshot cache tier): it receives the group's
 	// warm key and a builder, and returns a cached blob or the builder's
-	// output. Within one sweep checkpoints are additionally memoized per
-	// warm key, so the source sees each key at most once per run.
+	// output. Within one sweep successful checkpoints are additionally
+	// memoized per warm key, so the source sees each key at most once per
+	// run unless it fails: an error is not memoized, and the next cell of
+	// the group calls the source again.
 	SnapshotSource func(key string, build func() ([]byte, error)) ([]byte, error) //smtfetch:nonsemantic checkpoint transport; blob identity is the WarmKey itself
 
 	// OnResult, when non-nil, is called after each cell finishes with the
@@ -110,9 +112,9 @@ type Sweep struct {
 	// serialized but arrive in completion order, not cell order.
 	OnResult func(done, total int, r Result) //smtfetch:nonsemantic progress callback
 
-	// snap memoizes warm checkpoints for the worker pool; set up by
+	// warm memoizes warm checkpoints for the worker pool; set up by
 	// RunCells, shared by pointer so Sweep stays copyable.
-	snap *snapMemo //smtfetch:nonsemantic per-run checkpoint memo, execution mechanics
+	warm *warmMemo //smtfetch:nonsemantic per-run checkpoint memo, execution mechanics
 }
 
 // Cells expands the grid into its cell list in deterministic order
@@ -231,8 +233,8 @@ func (s *Sweep) Run() ([]Result, error) {
 // runs. Results are sorted by cell key, and failed cells are reported both
 // in their Result.Error field and in the aggregated error.
 func (s *Sweep) RunCells(cells []Cell, src ResultSource) ([]Result, error) {
-	if s.snap == nil {
-		s.snap = newSnapMemo()
+	if s.warm == nil {
+		s.warm = &warmMemo{}
 	}
 	jobs := s.Jobs
 	if jobs <= 0 {

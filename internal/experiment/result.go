@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -59,6 +60,14 @@ func (r Result) Key() string {
 // configuration and aggregate together (see Aggregate).
 func (r Result) GroupKey() string {
 	return r.Workload + "/" + r.Engine + "/" + r.Policy
+}
+
+// Err is the cell's failure as an error, nil for a successful cell.
+func (r Result) Err() error {
+	if r.Error == "" {
+		return nil
+	}
+	return errors.New(r.Error)
 }
 
 // lessResult is the canonical result ordering: workload, engine, policy,

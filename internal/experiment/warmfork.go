@@ -30,6 +30,7 @@ import (
 	"smtfetch"
 	"smtfetch/internal/config"
 	"smtfetch/internal/core"
+	"smtfetch/internal/flight"
 )
 
 // Warm-fork modes for Sweep.WarmFork.
@@ -101,46 +102,38 @@ func (s *Sweep) warmKeyAt(snapshotVersion int, c Cell) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// snapMemo singleflights warm-checkpoint construction across the worker
-// pool: the first worker to need a key builds it, the rest block on the
-// entry's once and share the blob.
-type snapMemo struct {
-	mu sync.Mutex
-	m  map[string]*snapEntry
+// warmMemo shares warm checkpoints among the cells of a sweep: the first
+// cell of a group builds the checkpoint, cells of the group that arrive
+// meanwhile wait for it, and later cells reuse it. Only successful builds
+// are kept (the single-flight rule, see package flight), so after a
+// failed build the next cell of the group builds again.
+type warmMemo struct {
+	flight flight.Group[[]byte]
+	blobs  sync.Map // warm key -> []byte
 }
 
-type snapEntry struct {
-	once sync.Once
-	blob []byte
-	err  error
-}
-
-func newSnapMemo() *snapMemo {
-	return &snapMemo{m: make(map[string]*snapEntry)}
-}
-
-// snapshotFor returns the warm checkpoint for key, building it at most
-// once per sweep and routing through SnapshotSource (the cross-sweep
-// cache) when one is installed.
+// snapshotFor returns the warm checkpoint for key, building it through
+// SnapshotSource (the cross-sweep cache) when one is installed.
 func (s *Sweep) snapshotFor(key string, build func() ([]byte, error)) ([]byte, error) {
-	wrapped := build
-	if s.SnapshotSource != nil {
-		wrapped = func() ([]byte, error) { return s.SnapshotSource(key, build) }
+	if src := s.SnapshotSource; src != nil {
+		local := build
+		build = func() ([]byte, error) { return src(key, local) }
 	}
-	m := s.snap
+	m := s.warm
 	if m == nil {
 		// Direct ExecuteCell call outside RunCells: correct, just unmemoized.
-		return wrapped()
+		return build()
 	}
-	m.mu.Lock()
-	e := m.m[key]
-	if e == nil {
-		e = &snapEntry{}
-		m.m[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.blob, e.err = wrapped() })
-	return e.blob, e.err
+	return m.flight.Do(key, func() ([]byte, error) {
+		if blob, ok := m.blobs.Load(key); ok {
+			return blob.([]byte), nil
+		}
+		blob, err := build()
+		if err == nil {
+			m.blobs.Store(key, blob)
+		}
+		return blob, err
+	})
 }
 
 // runWarmFork executes one cell in a warm-fork mode. Both modes build the

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -118,6 +119,37 @@ func TestWarmForkSnapshotSourceSeesEachKeyOnce(t *testing.T) {
 		if n != 1 || builds[k] != 1 {
 			t.Fatalf("key %s: %d calls, %d builds, want 1 each", k, n, builds[k])
 		}
+	}
+}
+
+// A failed warm build is not memoized for the rest of the run: with one
+// worker and a source that fails only on its first call, the group's
+// first cell reports the failure and its second cell builds again and
+// succeeds.
+func TestWarmForkFailedBuildNotMemoized(t *testing.T) {
+	sw := warmForkGrid(WarmForkFork)
+	sw.Policies = []config.FetchPolicy{config.ICount28, config.RR28}
+	sw.Jobs = 1
+	calls := 0
+	sw.SnapshotSource = func(_ string, build func() ([]byte, error)) ([]byte, error) {
+		calls++
+		if calls == 1 {
+			return nil, errors.New("transient source failure")
+		}
+		return build()
+	}
+	results, _ := sw.Run()
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
+	}
+	failed := 0
+	for _, r := range results {
+		if r.Error != "" {
+			failed++
+		}
+	}
+	if failed != 1 || calls != 2 {
+		t.Fatalf("%d failed cells and %d source calls, want 1 and 2: %+v", failed, calls, results)
 	}
 }
 

@@ -97,174 +97,160 @@ const DefaultSnapshotCapacity = 64
 // artifacts) keyed by experiment warm keys, letting repeated sweeps skip
 // the warm-up phase entirely in warm-fork mode.
 type Cache struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used
-	byKey     map[string]*list.Element
-	hits      uint64
-	misses    uint64
-	stores    uint64
-	evictions uint64
-
-	snapCap       int
-	snapLL        *list.List
-	snapByKey     map[string]*list.Element
-	snapHits      uint64
-	snapMisses    uint64
-	snapStores    uint64
-	snapEvictions uint64
-}
-
-type cacheEntry struct {
-	key string
-	res experiment.Result
-}
-
-type snapCacheEntry struct {
-	key  string
-	blob []byte
+	results   *lru[experiment.Result]
+	snapshots *lru[[]byte]
 }
 
 // NewCache returns an empty cache bounded to capacity result entries
 // (minimum 1) and DefaultSnapshotCapacity snapshot entries.
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Cache{
-		capacity:  capacity,
-		ll:        list.New(),
-		byKey:     map[string]*list.Element{},
-		snapCap:   DefaultSnapshotCapacity,
-		snapLL:    list.New(),
-		snapByKey: map[string]*list.Element{},
+		results:   newLRU[experiment.Result](capacity),
+		snapshots: newLRU[[]byte](DefaultSnapshotCapacity),
 	}
 }
 
 // SetSnapshotCapacity rebounds the snapshot tier (minimum 1), evicting
 // immediately if the tier is over the new bound.
-func (c *Cache) SetSnapshotCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.snapCap = n
-	c.evictSnapshots()
-}
+func (c *Cache) SetSnapshotCapacity(n int) { c.snapshots.setCapacity(n) }
 
 // GetSnapshot returns the cached warm-checkpoint blob for key, marking it
 // most recently used. Callers must not mutate the returned blob.
-func (c *Cache) GetSnapshot(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.snapByKey[key]
-	if !ok {
-		c.snapMisses++
-		return nil, false
-	}
-	c.snapHits++
-	c.snapLL.MoveToFront(el)
-	return el.Value.(*snapCacheEntry).blob, true
-}
+func (c *Cache) GetSnapshot(key string) ([]byte, bool) { return c.snapshots.get(key, true) }
 
 // PutSnapshot stores a warm-checkpoint blob under key, evicting the least
 // recently used snapshot when the tier is full.
-func (c *Cache) PutSnapshot(key string, blob []byte) {
-	c.putSnapshot(key, blob, true)
-}
-
-func (c *Cache) putSnapshot(key string, blob []byte, countStore bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if countStore {
-		c.snapStores++
-	}
-	if el, ok := c.snapByKey[key]; ok {
-		el.Value.(*snapCacheEntry).blob = blob
-		c.snapLL.MoveToFront(el)
-		return
-	}
-	c.snapByKey[key] = c.snapLL.PushFront(&snapCacheEntry{key: key, blob: blob})
-	c.evictSnapshots()
-}
-
-// evictSnapshots trims the snapshot tier to its bound; callers hold c.mu.
-func (c *Cache) evictSnapshots() {
-	for c.snapLL.Len() > c.snapCap {
-		oldest := c.snapLL.Back()
-		c.snapLL.Remove(oldest)
-		delete(c.snapByKey, oldest.Value.(*snapCacheEntry).key)
-		c.snapEvictions++
-	}
-}
+func (c *Cache) PutSnapshot(key string, blob []byte) { c.snapshots.put(key, blob, true) }
 
 // Get returns the cached result for key, marking it most recently used.
-func (c *Cache) Get(key string) (experiment.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses++
-		return experiment.Result{}, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
+func (c *Cache) Get(key string) (experiment.Result, bool) { return c.results.get(key, true) }
 
 // Put stores a result under key, evicting the least recently used entry
 // when full. Storing an existing key refreshes its value and recency.
-func (c *Cache) Put(key string, r experiment.Result) {
-	c.put(key, r, true)
-}
-
-func (c *Cache) put(key string, r experiment.Result, countStore bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if countStore {
-		c.stores++
-	}
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).res = r
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, res: r})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-}
+func (c *Cache) Put(key string, r experiment.Result) { c.results.put(key, r, true) }
 
 // Len reports the number of cached entries.
 func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	n, _, _ := c.results.stats()
+	return n
 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	n, capacity, r := c.results.stats()
+	sn, scapacity, s := c.snapshots.stats()
 	return CacheStats{
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Stores:    c.stores,
-		Evictions: c.evictions,
+		Entries:   n,
+		Capacity:  capacity,
+		Hits:      r.hits,
+		Misses:    r.misses,
+		Stores:    r.stores,
+		Evictions: r.evictions,
 
-		SnapshotEntries:   c.snapLL.Len(),
-		SnapshotCapacity:  c.snapCap,
-		SnapshotHits:      c.snapHits,
-		SnapshotMisses:    c.snapMisses,
-		SnapshotStores:    c.snapStores,
-		SnapshotEvictions: c.snapEvictions,
+		SnapshotEntries:   sn,
+		SnapshotCapacity:  scapacity,
+		SnapshotHits:      s.hits,
+		SnapshotMisses:    s.misses,
+		SnapshotStores:    s.stores,
+		SnapshotEvictions: s.evictions,
 	}
+}
+
+// lru is one cache tier: a bounded map in least-recently-used order with
+// its traffic counters, safe for concurrent use.
+type lru[V any] struct {
+	mu       sync.Mutex
+	capacity int
+	ll       *list.List // *lruEntry[V]; front = most recently used
+	byKey    map[string]*list.Element
+	counts   tierCounts
+}
+
+type tierCounts struct {
+	hits, misses, stores, evictions uint64
+}
+
+type lruEntry[V any] struct {
+	key string
+	val V
+}
+
+func newLRU[V any](capacity int) *lru[V] {
+	t := &lru[V]{ll: list.New(), byKey: map[string]*list.Element{}}
+	t.setCapacity(capacity)
+	return t
+}
+
+// setCapacity rebounds the tier (minimum 1), evicting down to the bound.
+func (t *lru[V]) setCapacity(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.capacity = max(n, 1)
+	t.evict()
+}
+
+// get returns key's value, marking it most recently used. count=false
+// leaves the hit and miss counters alone: only traffic counts.
+func (t *lru[V]) get(key string, count bool) (V, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el, ok := t.byKey[key]
+	if !ok {
+		if count {
+			t.counts.misses++
+		}
+		var zero V
+		return zero, false
+	}
+	if count {
+		t.counts.hits++
+	}
+	t.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// put stores val under key as the most recently used entry, evicting
+// down to the bound. count=false (a file load) leaves stores alone.
+func (t *lru[V]) put(key string, val V, count bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if count {
+		t.counts.stores++
+	}
+	if el, ok := t.byKey[key]; ok {
+		el.Value.(*lruEntry[V]).val = val
+		t.ll.MoveToFront(el)
+		return
+	}
+	t.byKey[key] = t.ll.PushFront(&lruEntry[V]{key: key, val: val})
+	t.evict()
+}
+
+// evict trims the tier to its bound; callers hold t.mu.
+func (t *lru[V]) evict() {
+	for t.ll.Len() > t.capacity {
+		oldest := t.ll.Back()
+		t.ll.Remove(oldest)
+		delete(t.byKey, oldest.Value.(*lruEntry[V]).key)
+		t.counts.evictions++
+	}
+}
+
+func (t *lru[V]) stats() (entries, capacity int, counts tierCounts) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ll.Len(), t.capacity, t.counts
+}
+
+// oldestFirst lists the tier's entries from least to most recently used.
+func (t *lru[V]) oldestFirst() []lruEntry[V] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]lruEntry[V], 0, t.ll.Len())
+	for el := t.ll.Back(); el != nil; el = el.Prev() {
+		out = append(out, *el.Value.(*lruEntry[V]))
+	}
+	return out
 }
 
 // CacheSchemaVersion versions the on-disk cache snapshot. Version 2 adds
@@ -303,21 +289,16 @@ const (
 
 // SaveFile atomically writes both cache tiers to path (tmp + rename).
 func (c *Cache) SaveFile(path string) error {
-	c.mu.Lock()
 	f := cacheFile{SchemaVersion: CacheSchemaVersion}
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
+	for _, e := range c.results.oldestFirst() {
 		// The key suffix is reconstructible from the result; only the
 		// fingerprint prefix needs storing.
-		fp := e.key[:len(e.key)-len(e.res.Key())-1]
-		res := e.res
-		f.Entries = append(f.Entries, persistedEntry{Tier: TierResult, Fingerprint: fp, Result: &res})
+		fp := e.key[:len(e.key)-len(e.val.Key())-1]
+		f.Entries = append(f.Entries, persistedEntry{Tier: TierResult, Fingerprint: fp, Result: &e.val})
 	}
-	for el := c.snapLL.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*snapCacheEntry)
-		f.Entries = append(f.Entries, persistedEntry{Tier: TierSnapshot, Key: e.key, Blob: e.blob})
+	for _, e := range c.snapshots.oldestFirst() {
+		f.Entries = append(f.Entries, persistedEntry{Tier: TierSnapshot, Key: e.key, Blob: e.val})
 	}
-	c.mu.Unlock()
 
 	blob, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
@@ -365,12 +346,12 @@ func (c *Cache) LoadFile(path string) (int, error) {
 				return 0, fmt.Errorf("server: cache file %s entry %d: result tier without a result", path, i)
 			}
 			// Loads do not count as stores: stats reflect live traffic only.
-			c.put(e.Fingerprint+"/"+e.Result.Key(), *e.Result, false)
+			c.results.put(e.Fingerprint+"/"+e.Result.Key(), *e.Result, false)
 		case TierSnapshot:
 			if e.Key == "" {
 				return 0, fmt.Errorf("server: cache file %s entry %d: snapshot tier without a key", path, i)
 			}
-			c.putSnapshot(e.Key, e.Blob, false)
+			c.snapshots.put(e.Key, e.Blob, false)
 		default:
 			return 0, fmt.Errorf("server: cache file %s entry %d has unknown artifact tier %q (known: %q, %q); refusing to load a future schema partially", path, i, e.Tier, TierResult, TierSnapshot)
 		}

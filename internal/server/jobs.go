@@ -140,7 +140,7 @@ func (r *JobRegistry) Complete(j *Job) {
 // so polling clients cannot tell them apart.
 func (r *JobRegistry) HandleHTTP(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	rest := strings.TrimPrefix(req.URL.Path, "/jobs/")
@@ -150,16 +150,16 @@ func (r *JobRegistry) HandleHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	j, ok := r.Get(id)
 	if !ok || id == "" || strings.Contains(id, "/") {
-		httpError(w, http.StatusNotFound, "no job %q", id)
+		HTTPError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
 	if !wantResults {
-		writeJSONBody(w, http.StatusOK, j.Status())
+		WriteJSON(w, http.StatusOK, j.Status())
 		return
 	}
 	blob, done := j.ResultBytes()
 	if !done {
-		httpError(w, http.StatusConflict, "job %s is %s, results not available", id, j.Status().State)
+		HTTPError(w, http.StatusConflict, "job %s is %s, results not available", id, j.Status().State)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

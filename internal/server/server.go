@@ -10,6 +10,7 @@ import (
 	"smtfetch/internal/config"
 	"smtfetch/internal/core"
 	"smtfetch/internal/experiment"
+	"smtfetch/internal/flight"
 )
 
 // SweepRequest is the JSON body of POST /sweep. Axis fields carry the
@@ -116,13 +117,11 @@ type Server struct {
 	// shutdown can drain them (WaitJobs) before persisting the cache.
 	jobsWG sync.WaitGroup
 
-	// flight dedupes concurrent executions of the same cell across
-	// requests: two overlapping grids that miss on a shared cell must
-	// simulate it once, not twice.
-	flight struct {
-		mu sync.Mutex
-		m  map[string]chan struct{}
-	}
+	// resultFlight and snapshotFlight dedupe concurrent builds of one
+	// cache entry across requests: two overlapping grids that miss on a
+	// shared cell or warm checkpoint build it once, not twice.
+	resultFlight   flight.Group[experiment.Result]
+	snapshotFlight flight.Group[[]byte]
 }
 
 // New builds a Server, loading the cache file when one is configured.
@@ -149,7 +148,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotCacheSize > 0 {
 		s.cache.SetSnapshotCapacity(cfg.SnapshotCacheSize)
 	}
-	s.flight.m = map[string]chan struct{}{}
 	if cfg.CacheFile != "" {
 		if _, err := s.cache.LoadFile(cfg.CacheFile); err != nil {
 			return nil, err
@@ -188,14 +186,15 @@ func (s *Server) SaveCache() error {
 // CacheStats snapshots the result-cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
-// httpError sends a plain-text error. Validation and parse failures are
+// HTTPError sends a plain-text error. Validation and parse failures are
 // the caller's fault (400); everything else that can fail here is a
 // lookup miss (404) or a method mismatch (405).
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+func HTTPError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
-func writeJSONBody(w http.ResponseWriter, code int, v any) {
+// WriteJSON sends v as an indented JSON body with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -203,35 +202,46 @@ func writeJSONBody(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+// DecodeSweep reads and validates a POST /sweep request, returning the
+// request, its grid and the grid's cells. When it returns ok=false it has
+// already answered: 405 for any other method, 400 for a malformed body,
+// an unknown name or an invalid grid.
+func DecodeSweep(w http.ResponseWriter, r *http.Request) (req SweepRequest, sw *experiment.Sweep, cells []experiment.Cell, ok bool) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST /sweep only")
-		return
+		HTTPError(w, http.StatusMethodNotAllowed, "POST /sweep only")
+		return req, nil, nil, false
 	}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var req SweepRequest
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
+		HTTPError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+		return req, nil, nil, false
 	}
 	sw, err := req.Sweep()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+		HTTPError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+		return req, nil, nil, false
+	}
+	cells, err = sw.Prepare()
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "invalid sweep: %v", err)
+		return req, nil, nil, false
+	}
+	return req, sw, cells, true
+}
+
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	req, sw, cells, ok := DecodeSweep(w, r)
+	if !ok {
 		return
 	}
 	sw.Jobs = s.poolJobs
-	cells, err := sw.Prepare()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid sweep: %v", err)
-		return
-	}
 	fp := Fingerprint(sw)
 
 	if !req.Async && s.syncLimit > 0 && len(cells) <= s.syncLimit {
 		blob, err := s.runSweep(sw, cells, fp)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "sweep failed: %v", err)
+			HTTPError(w, http.StatusInternalServerError, "sweep failed: %v", err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -248,7 +258,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		j.Finish(blob, err)
 		s.jobs.Complete(j)
 	}()
-	writeJSONBody(w, http.StatusAccepted, j.Status())
+	WriteJSON(w, http.StatusAccepted, j.Status())
 }
 
 // runSweep executes cells through the cache: hits are served without
@@ -275,70 +285,53 @@ func (s *Server) runSweep(sw *experiment.Sweep, cells []experiment.Cell, fp stri
 }
 
 // resolveSnapshot answers one warm key from the snapshot cache tier,
-// building (warming + checkpointing) on a miss. Concurrent misses on the
-// same key across overlapping jobs are single-flighted like result cells;
-// build failures are not cached, so waiters retry. Warm keys are pure hex,
-// so the "snapshot/" flight-key prefix cannot collide with result flight
-// keys (fingerprint-prefixed cache keys contain a cell suffix).
+// building (warming + checkpointing) on a miss. Build failures are not
+// cached, so the next request for the key builds again.
 func (s *Server) resolveSnapshot(key string, build func() ([]byte, error)) ([]byte, error) {
-	for {
-		if blob, ok := s.cache.GetSnapshot(key); ok {
-			return blob, nil
-		}
-		s.flight.mu.Lock()
-		fk := "snapshot/" + key
-		ch, running := s.flight.m[fk]
-		if !running {
-			ch = make(chan struct{})
-			s.flight.m[fk] = ch
-		}
-		s.flight.mu.Unlock()
-		if running {
-			<-ch
-			continue
-		}
+	return resolve(s.cache.snapshots, &s.snapshotFlight, key, func() ([]byte, error) {
 		blob, err := build()
 		if err == nil {
 			s.cache.PutSnapshot(key, blob)
 		}
-		s.flight.mu.Lock()
-		delete(s.flight.m, fk)
-		s.flight.mu.Unlock()
-		close(ch)
 		return blob, err
-	}
+	})
 }
 
 // resolveKey answers one content key from the cache, executing exec on a
-// miss. Concurrent misses on the same key are single-flighted: one
-// caller executes, the rest wait and read its cached result — two
-// overlapping grids posted at the same time simulate each shared cell
-// once. If the leader's execution errors (nothing gets cached), each
-// waiter retries, so transient failures don't fan out to every waiter.
+// miss — two overlapping grids posted at the same time simulate each
+// shared cell once. Error cells are not cached (see storeResult).
 func (s *Server) resolveKey(key string, exec func() experiment.Result) experiment.Result {
-	for {
-		if res, ok := s.cache.Get(key); ok {
-			return res
-		}
-		s.flight.mu.Lock()
-		ch, running := s.flight.m[key]
-		if !running {
-			ch = make(chan struct{})
-			s.flight.m[key] = ch
-		}
-		s.flight.mu.Unlock()
-		if running {
-			<-ch
-			continue
-		}
+	// The error is res.Error again, so the result alone carries it.
+	res, _ := resolve(s.cache.results, &s.resultFlight, key, func() (experiment.Result, error) {
 		res := exec()
 		s.storeResult(key, res)
-		s.flight.mu.Lock()
-		delete(s.flight.m, key)
-		s.flight.mu.Unlock()
-		close(ch)
-		return res
+		return res, res.Err()
+	})
+	return res
+}
+
+// resolve answers key from tier, running build on a miss. Concurrent
+// misses on one key single-flight through g under the repository's rule
+// (see package flight): waiters share a successful build, and a failed
+// one is retried by a waiter instead of being handed to all of them.
+// build stores its own successful value in tier.
+//
+// The leader looks in the tier again before building: a caller that
+// missed just as the previous leader stored the value and left the
+// flight would otherwise build it a second time.
+func resolve[V any](tier *lru[V], g *flight.Group[V], key string, build func() (V, error)) (V, error) {
+	if v, ok := tier.get(key, true); ok {
+		return v, nil
 	}
+	if h := testHookMissed; h != nil {
+		h(key)
+	}
+	return g.Do(key, func() (V, error) {
+		if v, ok := tier.get(key, false); ok {
+			return v, nil
+		}
+		return build()
+	})
 }
 
 // storeResult caches a completed cell. Error cells are never stored: an
@@ -354,28 +347,28 @@ func (s *Server) storeResult(key string, res experiment.Result) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	key := strings.TrimPrefix(r.URL.Path, "/results/")
 	res, ok := s.cache.Get(key)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no cached result for key %q", key)
+		HTTPError(w, http.StatusNotFound, "no cached result for key %q", key)
 		return
 	}
-	writeJSONBody(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSONBody(w, http.StatusOK, s.cache.Stats())
+	WriteJSON(w, http.StatusOK, s.cache.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSONBody(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Identity is the JSON body of GET /identz: what this worker is and which
@@ -405,10 +398,10 @@ func Identz() Identity {
 
 func (s *Server) handleIdentz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
+		HTTPError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSONBody(w, http.StatusOK, Identz())
+	WriteJSON(w, http.StatusOK, Identz())
 }
 
 // testHookCellStart, when non-nil, is called at the start of every cell
@@ -416,3 +409,8 @@ func (s *Server) handleIdentz(w http.ResponseWriter, r *http.Request) {
 // therefore its job) deterministically in flight while they assert the
 // drain-then-save ordering; production code never sets it.
 var testHookCellStart func(experiment.Cell)
+
+// testHookMissed, when non-nil, is called after a cache lookup misses and
+// before the caller joins the key's single-flight. Tests use it to park a
+// caller at exactly that point; production code never sets it.
+var testHookMissed func(key string)

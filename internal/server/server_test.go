@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -554,5 +555,122 @@ func TestSnapshotTierSurvivesRestart(t *testing.T) {
 	}
 	if st := srv2.CacheStats(); st.SnapshotStores != 0 || st.SnapshotHits < 1 {
 		t.Fatalf("post-restart sweep re-warmed: %+v", st)
+	}
+}
+
+// A caller that misses just as the leader stores the value and leaves the
+// flight must find the stored value, not build it again. The first caller
+// parks between its miss and the single-flight until a second caller has
+// missed, built, stored and finished; then it resumes and must not build.
+func TestResolveRechecksTierAfterMiss(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		resolve func(srv *Server, build func())
+	}{
+		{"result", func(srv *Server, build func()) {
+			srv.resolveKey("fp/k", func() experiment.Result { build(); return cacheRes("2_MIX", 1, 1.5) })
+		}},
+		{"snapshot", func(srv *Server, build func()) {
+			srv.resolveSnapshot("warm", func() ([]byte, error) { build(); return []byte("blob"), nil })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var builds atomic.Int32
+			build := func() { builds.Add(1) }
+
+			parked, resume := make(chan struct{}), make(chan struct{})
+			var missed atomic.Int32
+			testHookMissed = func(string) {
+				if missed.Add(1) == 1 {
+					close(parked)
+					<-resume
+				}
+			}
+			defer func() { testHookMissed = nil }()
+
+			done := make(chan struct{})
+			go func() {
+				tc.resolve(srv, build)
+				close(done)
+			}()
+			<-parked
+			tc.resolve(srv, build)
+			close(resume)
+			<-done
+			if n := builds.Load(); n != 1 {
+				t.Fatalf("built %d times, want 1: the parked caller rebuilt a cached entry", n)
+			}
+		})
+	}
+}
+
+// Two overlapping warm-fork grids posted at once share the snapshot tier:
+// each warm group is built and stored once across both requests, and
+// each response is byte-identical to a local run of its grid.
+func TestConcurrentWarmForkGridsShareSnapshots(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	a := warmForkRequest("fork")
+	a.Policies = []string{"ICOUNT.1.8", "RR.1.8"}
+	a.Seeds = []uint64{1, 2}
+	b := a
+	b.Policies = []string{"RR.1.8", "BRCOUNT.1.8"}
+	const warmGroups = 2 // 2_MIX/stream/1.8 at seeds 1 and 2
+
+	reqs := []SweepRequest{a, b}
+	bodies := make([][]byte, len(reqs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		blob, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/sweep", "application/json", bytes.NewReader(blob))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var body bytes.Buffer
+			body.ReadFrom(resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("grid %d: %s: %s", i, resp.Status, body.Bytes())
+			}
+			bodies[i] = body.Bytes()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if st := srv.CacheStats(); st.SnapshotStores != warmGroups {
+		t.Fatalf("snapshot_stores = %d, want %d (one per warm group): %+v", st.SnapshotStores, warmGroups, st)
+	}
+	for i, req := range reqs {
+		sw, err := req.Sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := sw.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := experiment.MarshalJSONResults(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bodies[i], local) {
+			t.Fatalf("grid %d response differs from a local run:\n%s\nvs\n%s", i, bodies[i], local)
+		}
 	}
 }
