@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"smtfetch/internal/bench"
@@ -9,18 +10,14 @@ import (
 	"smtfetch/internal/rng"
 )
 
-// newBenchSim builds a warmed-up 4-thread MIX simulator: the workload the
-// paper's Figure 7 analysis centres on, and a realistic mix of I-cache
-// pressure, D-cache misses, and mispredictions for the hot loop.
-func newBenchSim(tb testing.TB, engine config.Engine) *Sim {
-	return newBenchSimPolicy(tb, engine, config.Default().FetchPolicy)
-}
-
-func newBenchSimPolicy(tb testing.TB, engine config.Engine, fp config.FetchPolicy) *Sim {
+// newBenchSim builds a simulator for one workload/engine/policy cell and
+// warms its caches, predictors, and internal buffers so the measured loop
+// reflects steady state, not cold-start allocation.
+func newBenchSim(tb testing.TB, workload string, engine config.Engine, fp config.FetchPolicy) *Sim {
 	cfg := config.Default()
 	cfg.Engine = engine
 	cfg.FetchPolicy = fp
-	w, err := bench.WorkloadByName("4_MIX")
+	w, err := bench.WorkloadByName(workload)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -37,57 +34,41 @@ func newBenchSimPolicy(tb testing.TB, engine config.Engine, fp config.FetchPolic
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// Warm caches, predictors, and internal buffers so the measured loop
-	// reflects steady state, not cold-start allocation.
 	s.Run(50_000, 1_000_000)
 	return s
 }
 
-// BenchmarkCycle measures the simulator's hot loop: one call per simulated
-// cycle. allocs/op is the headline number — the cycle loop is required to be
-// allocation-free in steady state.
+// BenchmarkCycle measures the simulator's hot loop, one op per simulated
+// cycle, on every cell of the grid {2,4,8}_MIX × all engines × {ICOUNT.1.8,
+// FLUSH.2.8}. FLUSH rides along because its flush/replay machinery is the
+// most stateful policy path.
+//
+// The cycle loop must be allocation-free in steady state. allocs/op is
+// integer-rounded, so it reads 0 for anything below one allocation per
+// cycle; allocs/cycle reports the exact rate (heap mallocs over the timed
+// loop divided by cycles) so a gate can catch slower creep too.
 func BenchmarkCycle(b *testing.B) {
-	s := newBenchSim(b, config.GShareBTB)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Cycle()
+	policies := []config.FetchPolicy{
+		config.ICount18,
+		{Policy: config.Flush, Threads: 2, Width: 8},
 	}
-}
-
-// BenchmarkCycleStream is the same loop under the stream fetch engine,
-// whose longer fetch blocks stress the fetch buffer and dependence ring
-// differently.
-func BenchmarkCycleStream(b *testing.B) {
-	s := newBenchSim(b, config.StreamFetch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Cycle()
-	}
-}
-
-// BenchmarkCycleFTB is the same loop under the gskew+FTB engine, whose
-// spanned fetch blocks exercise the embedded-divergence and FTB training
-// paths the other two engines never reach.
-func BenchmarkCycleFTB(b *testing.B) {
-	s := newBenchSim(b, config.GSkewFTB)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Cycle()
-	}
-}
-
-// BenchmarkCycleFlush is the same loop under the FLUSH fetch policy, whose
-// flush/replay machinery is the most stateful policy path; it must stay
-// allocation-free like the rest of the cycle loop.
-func BenchmarkCycleFlush(b *testing.B) {
-	s := newBenchSimPolicy(b, config.GShareBTB,
-		config.FetchPolicy{Policy: config.Flush, Threads: 2, Width: 8})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Cycle()
+	for _, w := range []string{"2_MIX", "4_MIX", "8_MIX"} {
+		for _, e := range config.Engines() {
+			for _, fp := range policies {
+				b.Run(w+"/"+e.String()+"/"+fp.String(), func(b *testing.B) {
+					s := newBenchSim(b, w, e, fp)
+					b.ReportAllocs()
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						s.Cycle()
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/cycle")
+				})
+			}
+		}
 	}
 }

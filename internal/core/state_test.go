@@ -297,7 +297,8 @@ func TestDrainFastForwardDeterministic(t *testing.T) {
 // BenchmarkWarmForkedCell measures the per-cell cost of the warm-fork
 // path: restore a 50k-cycle warmed snapshot, switch policy, and run a
 // short measurement — the work RunCells does per cell instead of
-// re-warming. Tracked in the benchmark baselines next to BenchmarkCycle*.
+// re-warming. It runs beside BenchmarkCycle but outside the CI allocation
+// gate, which covers the cycle loop only.
 func BenchmarkWarmForkedCell(b *testing.B) {
 	build := func() *Sim {
 		cfg := config.Default()

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"smtfetch"
 	"smtfetch/internal/config"
 	"smtfetch/internal/experiment"
 )
@@ -43,6 +44,13 @@ func Fingerprint(s *experiment.Sweep) string {
 	// canonicalize them out so they cannot split the cache.
 	mc.Engine = 0
 	mc.FetchPolicy = config.FetchPolicy{}
+	// Hash the sampling spec's canonical spelling so equivalent spellings
+	// (reordered keys, spaces, leading zeros) share one key. An invalid
+	// spec keeps its raw string: Prepare rejects it before any cell runs.
+	sample := s.Sample
+	if sp, err := smtfetch.ParseSample(s.Sample); err == nil {
+		sample = sp.String()
+	}
 	blob, err := json.Marshal(struct {
 		ResultSchema  int
 		WarmupInstrs  uint64
@@ -52,7 +60,7 @@ func Fingerprint(s *experiment.Sweep) string {
 		Sample        string
 		WarmFork      string
 		Machine       config.Config
-	}{experiment.SchemaVersion, s.WarmupInstrs, s.WarmupCycles, s.MeasureInstrs, s.MaxCycles, s.Sample, s.WarmFork, mc})
+	}{experiment.SchemaVersion, s.WarmupInstrs, s.WarmupCycles, s.MeasureInstrs, s.MaxCycles, sample, s.WarmFork, mc})
 	if err != nil {
 		// config.Config is a plain struct of scalars; this cannot fail.
 		panic(fmt.Sprintf("server: fingerprint marshal: %v", err))

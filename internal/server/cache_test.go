@@ -166,6 +166,31 @@ func TestFingerprintSeparatesSampleAndWarmFork(t *testing.T) {
 	}
 }
 
+// Equivalent spellings of one sampling spec must share a fingerprint, or
+// the cache re-simulates cells it already holds.
+func TestFingerprintCanonicalizesSampleSpelling(t *testing.T) {
+	fp := func(sample string) string {
+		return Fingerprint(&experiment.Sweep{Workloads: []string{"2_MIX"}, Sample: sample})
+	}
+	want := fp("detail:1000,skip:19000")
+	for _, spelling := range []string{
+		"skip:19000,detail:1000",
+		"detail:1000, skip:19000",
+		"detail:01000,skip:19000",
+	} {
+		if got := fp(spelling); got != want {
+			t.Errorf("Fingerprint(Sample %q) = %s, want %s (same spec as detail:1000,skip:19000)", spelling, got, want)
+		}
+	}
+	if fp("detail:1000,skip:9000") == want {
+		t.Error("different sampling specs share a fingerprint")
+	}
+	// An invalid spec is hashed raw rather than panicking.
+	if fp("detail:x") == fp("detail:y") {
+		t.Error("distinct invalid specs share a fingerprint")
+	}
+}
+
 func TestCacheSnapshotTierLRUAndStats(t *testing.T) {
 	c := NewCache(2)
 	c.SetSnapshotCapacity(2)

@@ -111,6 +111,30 @@ func TestSweepTwiceByteIdenticalAndCached(t *testing.T) {
 	}
 }
 
+// Reordering the keys of the sample spec changes no cell's result, so a
+// second post of the same grid spelled differently is served from cache.
+func TestReorderedSampleSpecServedFromCache(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	req := tinyRequest()
+	req.Sample = "detail:1000,skip:1000"
+	resp1, body1 := postSweep(t, ts, req)
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("first POST /sweep: %s: %s", resp1.Status, body1)
+	}
+	req.Sample = "skip:1000,detail:1000"
+	resp2, body2 := postSweep(t, ts, req)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("second POST /sweep: %s: %s", resp2.Status, body2)
+	}
+	if !bytes.Equal(body1, body2) {
+		t.Fatalf("reordered sample spec changed the results:\n%s\nvs\n%s", body1, body2)
+	}
+	st := srv.CacheStats()
+	if st.Hits != 2 || st.Misses != 2 || st.Stores != 2 {
+		t.Fatalf("stats after reordered sweep = %+v, want 2 hits, 2 misses, 2 stores", st)
+	}
+}
+
 // An overlapping grid reuses the shared cells: a second request adding
 // one policy only simulates the new cell.
 func TestOverlappingGridPartialHits(t *testing.T) {

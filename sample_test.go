@@ -28,21 +28,57 @@ func TestParseSample(t *testing.T) {
 	if sp, err := ParseSample(""); err != nil || sp.Enabled() {
 		t.Fatalf("empty spec = %+v, %v", sp, err)
 	}
-	for _, bad := range []string{
-		"detail:1000",            // missing skip
-		"skip:9000",              // missing detail
-		"detail:0,skip:1",        // zero count
-		"detail:1,skip:0",        // zero count
-		"detail:1,detail:2",      // duplicate key
-		"detail:x,skip:1",        // non-numeric
-		"detail:1,skip:1,warm:0", // zero warm (omit the key instead)
-		"cadence:5",              // unknown key
-		"detail=1000,skip=9000",  // wrong separator
-	} {
+	for _, bad := range badSampleSpecs {
 		if _, err := ParseSample(bad); err == nil {
 			t.Errorf("ParseSample(%q) accepted", bad)
 		}
 	}
+}
+
+// badSampleSpecs are specs ParseSample must reject.
+var badSampleSpecs = []string{
+	"detail:1000",            // missing skip
+	"skip:9000",              // missing detail
+	"detail:0,skip:1",        // zero count
+	"detail:1,skip:0",        // zero count
+	"detail:1,detail:2",      // duplicate key
+	"detail:x,skip:1",        // non-numeric
+	"detail:1,skip:1,warm:0", // zero warm (omit the key instead)
+	"cadence:5",              // unknown key
+	"detail=1000,skip=9000",  // wrong separator
+}
+
+// FuzzParseSample checks the properties a canonical cache key relies on:
+// ParseSample never panics, every accepted spec's String parses back to
+// the same SampleSpec, and String is a fixed point of parse-then-render.
+func FuzzParseSample(f *testing.F) {
+	for _, s := range append([]string{
+		"",
+		"detail:1000,skip:9000",
+		"skip:9000,detail:1000",
+		"detail:1000,skip:9000,warm:2000",
+		"detail:1000, skip:19000",
+		"detail:01000,skip:19000",
+	}, badSampleSpecs...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSample(s)
+		if err != nil {
+			return
+		}
+		canon := sp.String()
+		again, err := ParseSample(canon)
+		if err != nil {
+			t.Fatalf("ParseSample(%q) accepted, but its String %q is rejected: %v", s, canon, err)
+		}
+		if again != sp {
+			t.Fatalf("ParseSample(%q) = %+v, but its String %q parses to %+v", s, sp, canon, again)
+		}
+		if again.String() != canon {
+			t.Fatalf("String is not a fixed point: %q -> %q", canon, again.String())
+		}
+	})
 }
 
 func sampledOpts() Options {
