@@ -56,7 +56,7 @@ type threadState struct {
 	replay    []*pipeline.UOp
 	replayPos int
 	// ring resolves dependence distances: PathSeq -> producing uop. Entries
-	// may point at uops that have since been recycled; depReady validates
+	// may point at uops that have since been recycled; depBlocker validates
 	// identity (thread, path kind, PathSeq) before trusting one.
 	ring [1 << ringBits]*pipeline.UOp
 }
@@ -527,6 +527,7 @@ func (s *Sim) writeback() {
 			continue
 		}
 		u.Done = true
+		s.wake(u)
 		// Completion resolves the uop for the policy signals: a finished
 		// branch is no longer unresolved, a finished load's miss is no
 		// longer outstanding.
@@ -580,14 +581,25 @@ func (s *Sim) decodeResolve() {
 
 // ---------------------------------------------------------------- issue
 
+// issue selects, per queue and oldest-first, the candidates whose inputs
+// are ready and which get an MSHR (loads) and a functional unit. Only
+// candidates are examined: a queued uop found waiting on a producer parks
+// on that producer's wait list, and depsBlocker's answer for it can turn
+// from "waiting" to "ready" in exactly two places, both of which wake it —
+// the producer's completion in writeback (which runs before issue in the
+// same cycle) and deliver overwriting the producer's dependence-ring slot.
+// Every other queued uop would still be waiting, with no side effect, if it
+// were examined, so issuing from the candidates alone is exact.
+//
 //smtfetch:hotpath
 func (s *Sim) issue() {
 	s.inFlightData = s.hier.InFlightData(s.now)
 	for kind := 0; kind < pipeline.NumQueues; kind++ {
 		q := s.iqs[kind]
-		//smtfetch:allowalloc non-escaping closure: Scan calls it inline and does not retain it (escape gate verifies)
-		q.Scan(func(u *pipeline.UOp) bool {
-			if !s.depsReady(u) {
+		//smtfetch:allowalloc non-escaping closure: Issue calls it inline and does not retain it (escape gate verifies)
+		q.Issue(func(u *pipeline.UOp) bool {
+			if p := s.depsBlocker(u); p != nil {
+				u.ParkOn(p)
 				return false
 			}
 			pool := s.poolFor(u.Class)
@@ -600,6 +612,15 @@ func (s *Sim) issue() {
 			s.startExec(u)
 			return true
 		})
+	}
+}
+
+// wake makes every uop parked on p an issue candidate again.
+//
+//smtfetch:hotpath
+func (s *Sim) wake(p *pipeline.UOp) {
+	for c := p.PopWaiter(); c != nil; c = p.PopWaiter() {
+		s.iqs[pipeline.QueueKind(c.Class)].Wake(c)
 	}
 }
 
@@ -678,34 +699,38 @@ func (s *Sim) startExec(u *pipeline.UOp) {
 	s.execList = append(s.execList, u)
 }
 
-// depsReady reports whether u's register inputs are available at s.now.
-// Readiness is sticky: a producer that is done, squashed, recycled, or out
-// of the window can never become unready again (PathSeq is monotonic, so a
-// ring slot never reverts to the producer). Each satisfied dependence is
-// therefore cleared to 0, so queued uops re-polled every cycle pay the
+// depsBlocker reports whether u's register inputs are available at s.now:
+// it returns nil when they are, and otherwise the in-flight producer of the
+// first one that is not. Readiness is sticky: a producer that is done,
+// squashed, recycled, or out of the window can never become unready again
+// (PathSeq is monotonic, so a ring slot never reverts to the producer).
+// Each satisfied dependence is therefore cleared to 0, so a uop pays the
 // ring lookup at most once per input.
 //
 //smtfetch:hotpath
-func (s *Sim) depsReady(u *pipeline.UOp) bool {
+func (s *Sim) depsBlocker(u *pipeline.UOp) *pipeline.UOp {
 	if u.Dep1 != 0 {
-		if !s.depReady(u, u.Dep1) {
-			return false
+		if p := s.depBlocker(u, u.Dep1); p != nil {
+			return p
 		}
 		u.Dep1 = 0
 	}
 	if u.Dep2 != 0 {
-		if !s.depReady(u, u.Dep2) {
-			return false
+		if p := s.depBlocker(u, u.Dep2); p != nil {
+			return p
 		}
 		u.Dep2 = 0
 	}
-	return true
+	return nil
 }
 
+// depBlocker returns the producer u's dependence at distance d still waits
+// on, or nil when the input is available.
+//
 //smtfetch:hotpath
-func (s *Sim) depReady(u *pipeline.UOp, d uint16) bool {
+func (s *Sim) depBlocker(u *pipeline.UOp, d uint16) *pipeline.UOp {
 	if d == 0 || uint64(d) > u.PathSeq {
-		return true
+		return nil
 	}
 	want := u.PathSeq - uint64(d)
 	p := s.threads[u.Thread].ring[want&((1<<ringBits)-1)]
@@ -715,12 +740,12 @@ func (s *Sim) depReady(u *pipeline.UOp, d uint16) bool {
 		// architecturally available. (PathSeq is monotonic per thread
 		// and per path kind, so a recycled uop can never impersonate
 		// the producer.)
-		return true
+		return nil
 	}
-	if !p.HasDest {
-		return true
+	if !p.HasDest || p.Done && p.ReadyAt <= s.now {
+		return nil
 	}
-	return p.Done && p.ReadyAt <= s.now
+	return p
 }
 
 // -------------------------------------------------------------- dispatch
@@ -968,7 +993,14 @@ func (s *Sim) deliver(ts *threadState, t int, u *pipeline.UOp) {
 		u.InBRCount = true
 		ts.brcount++
 	}
-	ts.ring[u.PathSeq&((1<<ringBits)-1)] = u
+	// Overwriting a slot makes depBlocker treat its previous occupant's
+	// consumers as ready: ghost uops number PathSeq from their own stream,
+	// so they can evict a correct-path producer still in flight.
+	slot := &ts.ring[u.PathSeq&((1<<ringBits)-1)]
+	if old := *slot; old != nil && old != u {
+		s.wake(old)
+	}
+	*slot = u
 	s.fetchBuf.Push(u)
 	s.st.PerThread[t].Fetched++
 }

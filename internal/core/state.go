@@ -15,10 +15,10 @@ package core
 //
 //   - Squashed uops (limbo quarantine, stale execList/pendingDecode
 //     entries): every consumer either drops them on sight (the lazy
-//     compaction scans) or treats them as absent (depReady returns "ready"
+//     compaction scans) or treats them as absent (depBlocker reports "ready"
 //     for squashed producers), so omitting them changes no observable
 //     behaviour. The dependence rings serialize such slots as -1; a nil
-//     ring entry and a squashed one are indistinguishable to depReady.
+//     ring entry and a squashed one are indistinguishable to depBlocker.
 //   - The uop free list and slab: allocUOp zero-resets every uop it hands
 //     out, so pool population is invisible to simulation results.
 //   - FUPool issue budgets: the per-cycle counter self-resets on the first
@@ -203,7 +203,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	// serialized only when its uop still owns it — live, same thread, and
 	// PathSeq mapping back to the slot. Everything else (nil, squashed,
 	// freed, or a recycled object that now lives elsewhere) fails
-	// depReady's identity validation identically to nil, and whether a
+	// depBlocker's identity validation identically to nil, and whether a
 	// freed object was recycled into some live uop depends on pool
 	// history, which differs between an original and a restored simulator;
 	// canonicalizing keeps their snapshots byte-identical.

@@ -107,9 +107,8 @@ func (f *FrontEnd) embeddedDivergence(tf *threadFE, req *ftq.Request, i int, in 
 //
 //smtfetch:hotpath
 func take(tf *threadFE, req *ftq.Request) *isa.Instruction {
-	src := tf.source()
-	in := req.Append(src.Peek(0))
-	src.Advance(1)
+	in := req.AppendSlot()
+	tf.source().Next(in)
 	return in
 }
 

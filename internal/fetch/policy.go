@@ -32,12 +32,14 @@ import (
 func PrioritizeInto(dst []int, policy config.Policy, keys []int, eligible func(t int) bool, cycle uint64, max int) []int {
 	n := len(keys)
 	dst = dst[:0]
-	rot := int(cycle % uint64(n))
+	t := int(cycle % uint64(n))
 	for i := 0; i < n; i++ {
-		t := (i + rot) % n
 		if eligible(t) {
 			//smtfetch:allowalloc dst is the caller's reused scratch, pre-sized to the thread count
 			dst = append(dst, t)
+		}
+		if t++; t == n {
+			t = 0
 		}
 	}
 	if policy != config.RoundRobin {

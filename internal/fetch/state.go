@@ -136,8 +136,8 @@ func (f *FrontEnd) BeginFunctional(t int) {
 // to measurement.
 func (f *FrontEnd) FunctionalAdvance(t int) isa.Instruction {
 	tf := f.threads[t]
-	in := *tf.trace.Peek(0)
-	tf.trace.Advance(1)
+	var in isa.Instruction
+	tf.trace.Next(&in)
 
 	if tf.ffBlockInstrs == 0 {
 		tf.ffBlockStart = in.PC

@@ -148,11 +148,21 @@ func (r *Request) Branch(i int) *BranchInfo {
 //
 //smtfetch:hotpath
 func (r *Request) Append(in *isa.Instruction) *isa.Instruction {
+	p := r.AppendSlot()
+	*p = *in
+	return p
+}
+
+// AppendSlot extends the block by one instruction and returns its slot,
+// which still holds whatever a previous use left there: the caller must
+// overwrite every field.
+//
+//smtfetch:hotpath
+func (r *Request) AppendSlot() *isa.Instruction {
 	if r.n >= MaxInstrs {
 		panic("ftq: fetch block overflows MaxInstrs")
 	}
 	p := &r.instrs[r.n]
-	*p = *in
 	r.brIdx[r.n] = 0
 	r.n++
 	return p

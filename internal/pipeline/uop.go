@@ -79,6 +79,67 @@ type UOp struct {
 	Flushed bool
 	// Recovered marks resolve-stage branches whose recovery already ran.
 	Recovered bool
+
+	// Issue-stage wake-up state (see IssueQueue). waitOn is the producer
+	// this queued uop is parked on until its first unsatisfied dependence
+	// may have become ready; waiters heads this uop's own list of parked
+	// consumers, linked through waitPrev/waitNext. iqSeq is the uop's
+	// dispatch sequence in its issue queue.
+	waitOn   *UOp   //smtfetch:transient wake-up link; Restore makes every queued uop a candidate
+	waiters  *UOp   //smtfetch:transient wake-up link; Restore makes every queued uop a candidate
+	waitPrev *UOp   //smtfetch:transient wake-up link; Restore makes every queued uop a candidate
+	waitNext *UOp   //smtfetch:transient wake-up link; Restore makes every queued uop a candidate
+	iqSeq    uint64 //smtfetch:transient issue-queue order stamp, renumbered when Restore re-adds the queues
+}
+
+// ParkOn parks u on producer p's wait list: u stops being an issue
+// candidate until p wakes it (PopWaiter).
+//
+//smtfetch:hotpath
+func (u *UOp) ParkOn(p *UOp) {
+	u.waitOn = p
+	u.waitPrev = nil
+	u.waitNext = p.waiters
+	if p.waiters != nil {
+		p.waiters.waitPrev = u
+	}
+	p.waiters = u
+}
+
+// WaitingOn returns the producer u is parked on, or nil.
+//
+//smtfetch:hotpath
+func (u *UOp) WaitingOn() *UOp { return u.waitOn }
+
+// unpark removes u from the wait list it is parked on, if any.
+//
+//smtfetch:hotpath
+func (u *UOp) unpark() {
+	p := u.waitOn
+	if p == nil {
+		return
+	}
+	if u.waitPrev != nil {
+		u.waitPrev.waitNext = u.waitNext
+	} else {
+		p.waiters = u.waitNext
+	}
+	if u.waitNext != nil {
+		u.waitNext.waitPrev = u.waitPrev
+	}
+	u.waitOn, u.waitPrev, u.waitNext = nil, nil, nil
+}
+
+// PopWaiter unparks and returns one consumer parked on p, or nil when
+// none is.
+//
+//smtfetch:hotpath
+func (p *UOp) PopWaiter() *UOp {
+	c := p.waiters
+	if c != nil {
+		c.unpark()
+	}
+	return c
 }
 
 // QueueKind maps an instruction class to its issue queue.

@@ -61,9 +61,12 @@ type staticInstr struct {
 	dep1    uint16
 	dep2    uint16
 	hasDest bool
-	mem     *memGen
-	id      int // global static-instruction id (indexes per-stream state)
+	mem     int32 // index into Program.mems, or noMem
+	id      int   // global static-instruction id (indexes per-stream state)
 }
+
+// noMem marks a static instruction without a memory generator.
+const noMem = -1
 
 // terminator describes the control transfer ending a block.
 type terminator struct {
@@ -80,10 +83,11 @@ type terminator struct {
 	// target is the static target block index (conditional taken-target,
 	// jump/call target). Unused for returns.
 	target int
-	// indirectTargets/indirectWeights describe indirect-jump target sets.
-	indirectTargets []int
-	indirectWeights []float64
-	id              int // global static-branch id
+	// ind/nInd locate an indirect jump's target set: the window
+	// [ind, ind+nInd) of Program.indTargets and Program.indWeights.
+	ind  int32
+	nInd uint8
+	id   int // global static-branch id
 }
 
 // Block is one static basic block.
@@ -114,9 +118,18 @@ func (b *Block) TermPC() isa.Addr {
 
 // Program is a complete synthetic program: the static CFG plus everything a
 // Stream needs to walk it.
+//
+// The image is flat: blocks are values in one slice, every block's body is
+// a window of one instruction arena, and memory generators live in a side
+// slice that static instructions index, so a built program is a handful of
+// pointer-free allocations.
 type Program struct {
 	profile Profile
-	blocks  []*Block
+	blocks  []Block
+	mems    []memGen
+	// indTargets/indWeights hold every indirect jump's target set.
+	indTargets []int
+	indWeights []float64
 	// starts[i] = blocks[i].addr, for address->block binary search.
 	starts []isa.Addr
 	// entries lists function-entry blocks (call targets); the first
@@ -145,8 +158,8 @@ func (p *Program) Entry() isa.Addr { return p.blocks[0].addr }
 // AvgStaticBBSize returns the mean static basic-block size in instructions.
 func (p *Program) AvgStaticBBSize() float64 {
 	total := 0
-	for _, b := range p.blocks {
-		total += b.Len()
+	for i := range p.blocks {
+		total += p.blocks[i].Len()
 	}
 	return float64(total) / float64(len(p.blocks))
 }
@@ -169,7 +182,7 @@ func (p *Program) BlockAt(addr isa.Addr) (*Block, int) {
 	if i < 0 {
 		i = 0
 	}
-	b := p.blocks[i]
+	b := &p.blocks[i]
 	off := int((addr - b.addr) / isa.InstrSize)
 	if off >= b.Len() {
 		off = b.Len() - 1
@@ -185,24 +198,37 @@ func Build(profile Profile, seed uint64) *Program {
 	p := &Program{profile: pf}
 
 	n := pf.StaticBlocks
-	p.blocks = make([]*Block, n)
+	p.blocks = make([]Block, n)
 	p.starts = make([]isa.Addr, n)
 
-	// Pass 1: sizes and addresses.
+	// Pass 1: sizes and addresses. The bodies are windows of one arena,
+	// cut once every size is drawn.
+	sizes := make([]uint8, n)
 	addr := CodeBase
+	total := 0
 	for i := 0; i < n; i++ {
 		bodyLen := bodySize(r, pf.AvgBBSize)
-		b := &Block{
-			index: i,
-			addr:  addr,
-			body:  make([]staticInstr, bodyLen),
-			next:  (i + 1) % n,
-		}
-		p.blocks[i] = b
+		sizes[i] = uint8(bodyLen)
+		total += bodyLen
+		p.blocks[i] = Block{index: i, addr: addr, next: (i + 1) % n}
 		p.starts[i] = addr
-		addr += isa.Addr(b.Len() * isa.InstrSize)
+		addr += isa.Addr((bodyLen + 1) * isa.InstrSize)
 	}
 	p.codeEnd = addr
+	arena := make([]staticInstr, total)
+	off := 0
+	for i := range p.blocks {
+		end := off + int(sizes[i])
+		p.blocks[i].body = arena[off:end:end]
+		off = end
+	}
+	// Memory generators: sized for the expected load/store share, with
+	// slack so append rarely grows it.
+	p.mems = make([]memGen, 0, int(float64(total)*(pf.LoadFrac+pf.StoreFrac)*1.25)+64)
+	// Indirect target sets: up to 8 targets per indirect jump.
+	nind := int(float64(n)*pf.IndirectFrac*8) + 16
+	p.indTargets = make([]int, 0, nind)
+	p.indWeights = make([]float64, 0, nind)
 
 	// Partition blocks into functions with a mean of ~12 blocks. Every
 	// function's last block is a return, and all intra-function control
@@ -211,9 +237,9 @@ func Build(profile Profile, seed uint64) *Program {
 	// guarantees the dynamic walk always makes progress toward the
 	// return, so calls and returns balance — the property that keeps the
 	// synthetic walk from collapsing into a degenerate cycle.
-	var funcOf []int // block -> function index
-	funcOf = make([]int, n)
-	var bounds [][2]int // function -> [first, last] block
+	funcOf := make([]int, n)           // block -> function index
+	bounds := make([][2]int, 0, n/4+1) // function -> [first, last] block
+	p.entries = make([]int, 0, n/4+1)
 	for i := 0; i < n; {
 		size := 4 + r.Intn(17) // 4..20 blocks, mean 12
 		if i+size > n {
@@ -237,7 +263,7 @@ func Build(profile Profile, seed uint64) *Program {
 
 	// Pass 2: bodies and terminators.
 	for i := 0; i < n; i++ {
-		b := p.blocks[i]
+		b := &p.blocks[i]
 		for j := range b.body {
 			b.body[j] = p.buildInstr(r, pf)
 			b.body[j].id = p.numStaticInstr
@@ -251,7 +277,7 @@ func Build(profile Profile, seed uint64) *Program {
 			// collapse the walk into a short deterministic cycle).
 			b.term = terminator{kind: isa.Return}
 		} else {
-			b.term = p.buildTerminator(r, pf, i, lo, hi, hotFuncs)
+			p.buildTerminator(r, pf, &b.term, i, lo, hi, hotFuncs)
 		}
 		b.term.dep1 = depDist(r, 3)
 		b.term.id = p.numStaticBranch
@@ -274,8 +300,7 @@ func bodySize(r *rng.Rand, mean float64) int {
 }
 
 func (p *Program) buildInstr(r *rng.Rand, pf Profile) staticInstr {
-	var in staticInstr
-	in.hasDest = true
+	in := staticInstr{hasDest: true, mem: noMem}
 	x := r.Float64()
 	switch {
 	case x < pf.LoadFrac:
@@ -312,8 +337,11 @@ func depDist(r *rng.Rand, mean float64) uint16 {
 	return uint16(d)
 }
 
-func (p *Program) buildMemGen(r *rng.Rand, pf Profile, isLoad bool) *memGen {
-	g := &memGen{}
+// buildMemGen appends a memory generator to p.mems and returns its index.
+func (p *Program) buildMemGen(r *rng.Rand, pf Profile, isLoad bool) int32 {
+	p.mems = append(p.mems, memGen{})
+	idx := len(p.mems) - 1
+	g := &p.mems[idx]
 	g.cold = r.Bool(pf.ColdFrac)
 	var regionBase, regionSize uint64
 	if g.cold {
@@ -342,13 +370,12 @@ func (p *Program) buildMemGen(r *rng.Rand, pf Profile, isLoad bool) *memGen {
 			g.chase = r.Bool(pf.ChaseFrac)
 		}
 	}
-	return g
+	return int32(idx)
 }
 
 // buildTerminator builds a non-return terminator for block i of the
-// function spanning blocks [lo, hi].
-func (p *Program) buildTerminator(r *rng.Rand, pf Profile, i, lo, hi, hotFuncs int) terminator {
-	var t terminator
+// function spanning blocks [lo, hi] into t, which starts zeroed.
+func (p *Program) buildTerminator(r *rng.Rand, pf Profile, t *terminator, i, lo, hi, hotFuncs int) {
 	x := r.Float64()
 	switch {
 	case x < pf.JumpFrac:
@@ -363,21 +390,19 @@ func (p *Program) buildTerminator(r *rng.Rand, pf Profile, i, lo, hi, hotFuncs i
 		// (virtual calls with one dominant receiver): the first target
 		// gets most of the weight.
 		k := 2 + r.Intn(7)
-		t.indirectTargets = make([]int, k)
-		t.indirectWeights = make([]float64, k)
+		t.ind, t.nInd = int32(len(p.indTargets)), uint8(k)
 		for j := 0; j < k; j++ {
-			t.indirectTargets[j] = p.pickForward(r, pf, i, hi)
+			p.indTargets = append(p.indTargets, p.pickForward(r, pf, i, hi))
 			if j == 0 {
-				t.indirectWeights[j] = 8
+				p.indWeights = append(p.indWeights, 8)
 			} else {
-				t.indirectWeights[j] = 0.1 + 0.5*r.Float64()
+				p.indWeights = append(p.indWeights, 0.1+0.5*r.Float64())
 			}
 		}
 	default:
 		t.kind = isa.CondBranch
-		p.buildCondBehaviour(r, pf, &t, i, lo, hi)
+		p.buildCondBehaviour(r, pf, t, i, lo, hi)
 	}
-	return t
 }
 
 func (p *Program) buildCondBehaviour(r *rng.Rand, pf Profile, t *terminator, i, lo, hi int) {

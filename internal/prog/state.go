@@ -86,7 +86,7 @@ func (s *Stream) DecodeState(r *snap.Reader) {
 		r.Fail("prog: block index %d out of range (%d blocks)", bi, len(s.prog.blocks))
 		return
 	}
-	s.blk = s.prog.blocks[bi]
+	s.blk = &s.prog.blocks[bi]
 	s.off = r.Int()
 	n := r.Len()
 	clear(s.loopCounts)

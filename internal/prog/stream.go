@@ -10,8 +10,10 @@ import (
 // separate Streams forked at the mispredicted target (the Program's static
 // CFG plays the role of SMTSIM's basic-block dictionary).
 //
-// Streams expose a lookahead interface: Peek(k) returns the k-th upcoming
-// instruction without consuming it, Advance(n) consumes n instructions.
+// Next(dst) consumes the next instruction, generating it straight into
+// dst. Streams also expose a lookahead interface: Peek(k) returns the k-th
+// upcoming instruction without consuming it, Advance(n) consumes n
+// instructions; Next drains what Peek buffered before generating more.
 // Redirect(pc) repositions the stream (used on wrong paths, where the
 // front-end steers the walk along the predicted path).
 type Stream struct {
@@ -76,10 +78,34 @@ func (p *Program) newStream(seed uint64, pc isa.Addr) *Stream {
 //smtfetch:hotpath
 func (s *Stream) Peek(k int) *isa.Instruction {
 	for len(s.buf)-s.head <= k {
-		//smtfetch:allowalloc lookahead buffer is compacted at 4096: capacity converges to the compaction bound
-		s.buf = append(s.buf, s.gen())
+		s.fill()
 	}
 	return &s.buf[s.head+k]
+}
+
+// Next consumes the next instruction into dst.
+//
+//smtfetch:hotpath
+func (s *Stream) Next(dst *isa.Instruction) {
+	if s.head == len(s.buf) {
+		s.gen(dst)
+		return
+	}
+	*dst = s.buf[s.head]
+	s.head++
+	if s.head == len(s.buf) {
+		s.buf = s.buf[:0]
+		s.head = 0
+	}
+}
+
+// fill generates one instruction onto the end of the lookahead buffer.
+//
+//smtfetch:hotpath
+func (s *Stream) fill() {
+	//smtfetch:allowalloc lookahead buffer is compacted at 4096: capacity converges to the compaction bound
+	s.buf = append(s.buf, isa.Instruction{})
+	s.gen(&s.buf[len(s.buf)-1])
 }
 
 // PC returns the address of the next instruction.
@@ -92,8 +118,7 @@ func (s *Stream) PC() isa.Addr { return s.Peek(0).PC }
 //smtfetch:hotpath
 func (s *Stream) Advance(n int) {
 	for len(s.buf)-s.head < n {
-		//smtfetch:allowalloc lookahead buffer is compacted at 4096: capacity converges to the compaction bound
-		s.buf = append(s.buf, s.gen())
+		s.fill()
 	}
 	s.head += n
 	// Compact the buffer occasionally to bound growth.
@@ -115,17 +140,17 @@ func (s *Stream) Redirect(pc isa.Addr) {
 	s.blk, s.off = s.prog.BlockAt(pc)
 }
 
-// gen materializes the next instruction at the walk position and advances
-// the position.
+// gen materializes the next instruction at the walk position into in,
+// overwriting every field, and advances the position.
 //
 //smtfetch:hotpath
-func (s *Stream) gen() isa.Instruction {
+func (s *Stream) gen(in *isa.Instruction) {
 	b := s.blk
 	s.Generated++
 	s.sinceLoad++
 	if s.off < len(b.body) {
 		si := &b.body[s.off]
-		in := isa.Instruction{
+		*in = isa.Instruction{
 			PC:      b.addr + isa.Addr(s.off*isa.InstrSize),
 			PathSeq: s.Generated,
 			Class:   si.class,
@@ -133,9 +158,10 @@ func (s *Stream) gen() isa.Instruction {
 			Dep2:    si.dep2,
 			HasDest: si.hasDest,
 		}
-		if si.mem != nil {
-			in.EffAddr = s.memAddr(si)
-			if si.mem.chase && s.sinceLoad < 48 {
+		if si.mem != noMem {
+			g := &s.prog.mems[si.mem]
+			in.EffAddr = s.memAddr(si, g)
+			if g.chase && s.sinceLoad < 48 {
 				// Pointer chase: address depends on the previous load.
 				in.Dep1 = uint16(s.sinceLoad)
 			}
@@ -144,13 +170,13 @@ func (s *Stream) gen() isa.Instruction {
 			s.sinceLoad = 0
 		}
 		s.off++
-		return in
+		return
 	}
 
 	// Terminator.
 	t := &b.term
 	pc := b.TermPC()
-	in := isa.Instruction{
+	*in = isa.Instruction{
 		PC:          pc,
 		PathSeq:     s.Generated,
 		Class:       isa.Branch,
@@ -165,19 +191,19 @@ func (s *Stream) gen() isa.Instruction {
 		in.Taken = s.condOutcome(t)
 		s.hist = s.hist<<1 | boolBit(in.Taken)
 		if in.Taken {
-			nextBlk = s.prog.blocks[t.target]
+			nextBlk = &s.prog.blocks[t.target]
 			in.Target = nextBlk.addr
 		} else {
-			nextBlk = s.prog.blocks[b.next]
+			nextBlk = &s.prog.blocks[b.next]
 		}
 	case isa.Jump:
 		in.Taken = true
-		nextBlk = s.prog.blocks[t.target]
+		nextBlk = &s.prog.blocks[t.target]
 		in.Target = nextBlk.addr
 	case isa.Call:
 		in.Taken = true
 		in.HasDest = true // writes the return-address register
-		nextBlk = s.prog.blocks[t.target]
+		nextBlk = &s.prog.blocks[t.target]
 		in.Target = nextBlk.addr
 		ra := in.FallThrough
 		if len(s.callStack) >= maxCallStack {
@@ -212,11 +238,12 @@ func (s *Stream) gen() isa.Instruction {
 		if in.Taken {
 			s.TakenBranches++
 		}
-		return in
+		return
 	case isa.IndirectJump:
 		in.Taken = true
-		i := s.r.Pick(t.indirectWeights)
-		nextBlk = s.prog.blocks[t.indirectTargets[i]]
+		lo, hi := t.ind, t.ind+int32(t.nInd)
+		i := s.r.Pick(s.prog.indWeights[lo:hi])
+		nextBlk = &s.prog.blocks[s.prog.indTargets[lo+int32(i)]]
 		in.Target = nextBlk.addr
 	}
 	if in.Taken {
@@ -224,7 +251,6 @@ func (s *Stream) gen() isa.Instruction {
 	}
 	s.blk = nextBlk
 	s.off = 0
-	return in
 }
 
 //smtfetch:hotpath
@@ -272,12 +298,11 @@ func popcount(x uint64) int {
 	return n
 }
 
-// memAddr computes the next effective address for a static memory
-// instruction.
+// memAddr computes the next effective address for static memory
+// instruction si, whose generator is g.
 //
 //smtfetch:hotpath
-func (s *Stream) memAddr(si *staticInstr) isa.Addr {
-	g := si.mem
+func (s *Stream) memAddr(si *staticInstr, g *memGen) isa.Addr {
 	switch g.kind {
 	case memStride:
 		off := s.strideOffs[si.id]

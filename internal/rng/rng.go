@@ -8,6 +8,8 @@
 // algorithms by Blackman and Vigna.
 package rng
 
+import "math"
+
 // SplitMix64 advances the given state and returns the next 64-bit output.
 // It is used to derive independent seeds for child generators.
 func SplitMix64(state *uint64) uint64 {
@@ -106,6 +108,13 @@ func (r *Rand) Bool(p float64) bool {
 // Geometric returns a sample from a geometric distribution with mean m
 // (support {1, 2, ...}). Used for basic-block sizes and dependence
 // distances. m must be >= 1; values are clamped to at least 1.
+//
+// The sample is the index of the first success in a run of Bool(1/m)
+// trials, capped at 1<<20, and Geometric returns exactly that value and
+// leaves the generator in exactly that state. It runs the trials as one
+// integer comparison each: Float64() < p compares (x>>11)/2^53 with p, and
+// since scaling by 2^53 is exact, that holds exactly when
+// x>>11 < ceil(p*2^53).
 func (r *Rand) Geometric(m float64) int {
 	if m <= 1 {
 		return 1
@@ -113,13 +122,40 @@ func (r *Rand) Geometric(m float64) int {
 	// For a geometric distribution on {1,2,...} with success prob p,
 	// mean = 1/p.
 	p := 1.0 / m
+	const maxN = 1 << 20 // safety clamp; practically unreachable
+	if !(p > 0) {
+		// m is +Inf (Bool(0) fails without drawing) or NaN (every draw
+		// fails): keep the trial loop's exact behaviour.
+		n := 1
+		for !r.Bool(p) {
+			n++
+			if n >= maxN {
+				break
+			}
+		}
+		return n
+	}
+	thr := uint64(math.Ceil(p * (1 << 53)))
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	n := 1
-	for !r.Bool(p) {
+	for {
+		x := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if x>>11 < thr {
+			break
+		}
 		n++
-		if n >= 1<<20 { // safety clamp; practically unreachable
+		if n >= maxN {
 			break
 		}
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return n
 }
 

@@ -188,7 +188,7 @@ func (r *Reader) String() string {
 
 // U64s reads a length-prefixed []uint64.
 func (r *Reader) U64s() []uint64 {
-	n := r.len()
+	n := r.elems(8)
 	if r.err != nil {
 		return nil
 	}
@@ -201,7 +201,7 @@ func (r *Reader) U64s() []uint64 {
 
 // Bools reads a length-prefixed []bool.
 func (r *Reader) Bools() []bool {
-	n := r.len()
+	n := r.elems(1)
 	if r.err != nil {
 		return nil
 	}
@@ -215,6 +215,18 @@ func (r *Reader) Bools() []bool {
 // Len reads a length prefix, validating it against the remaining input so
 // corrupt streams fail fast instead of allocating absurd buffers.
 func (r *Reader) Len() int { return r.len() }
+
+// elems reads the length prefix of a slice of fixed-size elements and
+// checks that n elements of size bytes each fit in the unread input, so a
+// corrupt length fails before the slice is allocated.
+func (r *Reader) elems(size int) int {
+	n := r.len()
+	if r.err == nil && n > r.Rest()/size {
+		r.err = fmt.Errorf("snap: truncated stream: %d elements of %d bytes at offset %d, have %d bytes", n, size, r.off, r.Rest())
+		return 0
+	}
+	return n
+}
 
 func (r *Reader) len() int {
 	n := r.U64()

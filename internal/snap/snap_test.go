@@ -3,6 +3,7 @@ package snap
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -146,6 +147,29 @@ func TestImplausibleLength(t *testing.T) {
 		read(r)
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "implausible length") {
 			t.Errorf("%s with length 1<<40: err = %v, want implausible length", name, err)
+		}
+	}
+}
+
+// A length that passes the plausibility bound but cannot be backed by the
+// remaining bytes fails without allocating for it.
+func TestSliceLengthExceedsInputNoAlloc(t *testing.T) {
+	for name, read := range map[string]func(*Reader){
+		"U64s":  func(r *Reader) { r.U64s() },
+		"Bools": func(r *Reader) { r.Bools() },
+	} {
+		var w Writer
+		w.U64(1 << 20)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader(w.Bytes())
+		read(r)
+		runtime.ReadMemStats(&after)
+		if r.Err() == nil {
+			t.Errorf("%s: 8-byte stream holding length 1<<20 decoded without error", name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+			t.Errorf("%s: allocated %d bytes before failing, want < 64 KiB", name, d)
 		}
 	}
 }
