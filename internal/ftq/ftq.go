@@ -144,15 +144,6 @@ func (r *Request) Branch(i int) *BranchInfo {
 	return nil
 }
 
-// Append copies in into the block and returns the stored copy.
-//
-//smtfetch:hotpath
-func (r *Request) Append(in *isa.Instruction) *isa.Instruction {
-	p := r.AppendSlot()
-	*p = *in
-	return p
-}
-
 // AppendSlot extends the block by one instruction and returns its slot,
 // which still holds whatever a previous use left there: the caller must
 // overwrite every field.

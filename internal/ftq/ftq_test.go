@@ -31,7 +31,7 @@ func TestPoolLifecycle(t *testing.T) {
 	e1 := r.Epoch()
 
 	in := isa.Instruction{PC: 0x100, Class: isa.Branch, BrKind: isa.CondBranch}
-	r.Append(&in)
+	*r.AppendSlot() = in
 	bi := r.AddBranch(0)
 	bi.GHR = 42
 	r.Consumed = 1
@@ -89,7 +89,7 @@ func TestQueueDetectsRecycledRequest(t *testing.T) {
 	q := New(2)
 	r := p.Get(0)
 	in := isa.Instruction{PC: 0x40}
-	r.Append(&in)
+	*r.AppendSlot() = in
 	if !q.Push(r) {
 		t.Fatal("push failed")
 	}
@@ -111,7 +111,7 @@ func TestQueueRing(t *testing.T) {
 	in := isa.Instruction{PC: 0x10}
 	push := func() *Request {
 		r := p.Get(0)
-		r.Append(&in)
+		*r.AppendSlot() = in
 		if !q.Push(r) {
 			t.Fatal("push on non-full queue failed")
 		}
@@ -155,7 +155,7 @@ func TestRequestBranchStorage(t *testing.T) {
 	r := p.Get(0)
 	for i := 0; i < 4; i++ {
 		in := isa.Instruction{PC: isa.Addr(0x1000 + 4*i)}
-		r.Append(&in)
+		*r.AppendSlot() = in
 	}
 	bi := r.AddBranch(2)
 	bi.PredTaken = true
@@ -183,7 +183,7 @@ func TestRequestBranchStorage(t *testing.T) {
 	full := p.Get(0)
 	for i := 0; i < MaxInstrs; i++ {
 		in := isa.Instruction{PC: isa.Addr(4 * i)}
-		full.Append(&in)
+		*full.AppendSlot() = in
 	}
-	mustPanic(t, "Append beyond MaxInstrs", func() { full.Append(&isa.Instruction{}) })
+	mustPanic(t, "AppendSlot beyond MaxInstrs", func() { full.AppendSlot() })
 }

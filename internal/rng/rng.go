@@ -107,7 +107,7 @@ func (r *Rand) Bool(p float64) bool {
 
 // Geometric returns a sample from a geometric distribution with mean m
 // (support {1, 2, ...}). Used for basic-block sizes and dependence
-// distances. m must be >= 1; values are clamped to at least 1.
+// distances. m must be finite; values below 1 (and NaN) are clamped to 1.
 //
 // The sample is the index of the first success in a run of Bool(1/m)
 // trials, capped at 1<<20, and Geometric returns exactly that value and
@@ -116,46 +116,20 @@ func (r *Rand) Bool(p float64) bool {
 // since scaling by 2^53 is exact, that holds exactly when
 // x>>11 < ceil(p*2^53).
 func (r *Rand) Geometric(m float64) int {
-	if m <= 1 {
+	if !(m > 1) || math.IsInf(m, 1) {
 		return 1
 	}
 	// For a geometric distribution on {1,2,...} with success prob p,
 	// mean = 1/p.
-	p := 1.0 / m
+	thr := uint64(math.Ceil((1.0 / m) * (1 << 53)))
 	const maxN = 1 << 20 // safety clamp; practically unreachable
-	if !(p > 0) {
-		// m is +Inf (Bool(0) fails without drawing) or NaN (every draw
-		// fails): keep the trial loop's exact behaviour.
-		n := 1
-		for !r.Bool(p) {
-			n++
-			if n >= maxN {
-				break
-			}
-		}
-		return n
-	}
-	thr := uint64(math.Ceil(p * (1 << 53)))
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	n := 1
-	for {
-		x := rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		if x>>11 < thr {
-			break
-		}
+	for r.Uint64()>>11 >= thr {
 		n++
 		if n >= maxN {
 			break
 		}
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
 	return n
 }
 

@@ -51,18 +51,6 @@ func TestGeometricMatchesBernoulliLoop(t *testing.T) {
 	}
 }
 
-// A NaN or infinite mean keeps the reference's degenerate behaviour: +Inf
-// never draws (Bool(0) is false without a draw), NaN draws until the cap.
-func TestGeometricDegenerateMeans(t *testing.T) {
-	for _, m := range []float64{math.Inf(1), math.NaN()} {
-		fast, ref := New(7), New(7)
-		got, want := fast.Geometric(m), geometricRef(ref, m)
-		if got != want || fast.State() != ref.State() {
-			t.Fatalf("mean %v: Geometric = %d (state %x), reference %d (state %x)", m, got, fast.State(), want, ref.State())
-		}
-	}
-}
-
 // The success test x>>11 < ceil(p*2^53) is exact at the boundary: a draw
 // whose top 53 bits equal the threshold fails, one below it succeeds, just
 // as Float64() < p decides.
